@@ -13,7 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/JumpFunction.h"
-#include "core/Lattice.h"
+#include "analysis/Lattice.h"
 #include "ir/Module.h"
 
 #include <benchmark/benchmark.h>

@@ -33,7 +33,7 @@
 
 #include "BenchReport.h"
 #include "core/JumpFunction.h"
-#include "core/Lattice.h"
+#include "analysis/Lattice.h"
 #include "ir/BasicBlock.h"
 #include "ir/Instructions.h"
 #include "ir/Module.h"

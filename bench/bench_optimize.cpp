@@ -21,8 +21,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchReport.h"
+#include "core/Pipeline.h"
 #include "interp/Interpreter.h"
-#include "transform/Transform.h"
 #include "workload/Programs.h"
 
 #include <benchmark/benchmark.h>

@@ -51,7 +51,6 @@
 #include "ir/IRPrinter.h"
 #include "support/FileIO.h"
 #include "support/Trace.h"
-#include "transform/Transform.h"
 #include "workload/Programs.h"
 
 #include <cerrno>
@@ -434,7 +433,7 @@ int main(int argc, char **argv) {
   std::optional<CompletePropagationResult> CompleteResult;
   std::optional<IPCPResult> SingleResult;
   if (Complete) {
-    CompleteResult = runCompletePropagation(*M, Opts, 8, &Guard);
+    CompleteResult = runCompletePropagation(*M, Opts, &Guard);
     const CompletePropagationResult &CR = *CompleteResult;
     std::printf("complete propagation: %u round(s), %u dead blocks "
                 "removed\n",

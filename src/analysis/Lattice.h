@@ -1,4 +1,4 @@
-//===- core/Lattice.h - The constant propagation lattice --------*- C++ -*-===//
+//===- analysis/Lattice.h - The constant propagation lattice ----*- C++ -*-===//
 //
 // Part of the ipcp project.
 //
@@ -25,8 +25,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef IPCP_CORE_LATTICE_H
-#define IPCP_CORE_LATTICE_H
+#ifndef IPCP_ANALYSIS_LATTICE_H
+#define IPCP_ANALYSIS_LATTICE_H
 
 #include "support/ConstantMath.h"
 
@@ -121,4 +121,4 @@ private:
 
 } // namespace ipcp
 
-#endif // IPCP_CORE_LATTICE_H
+#endif // IPCP_ANALYSIS_LATTICE_H

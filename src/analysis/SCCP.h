@@ -35,7 +35,7 @@
 #ifndef IPCP_ANALYSIS_SCCP_H
 #define IPCP_ANALYSIS_SCCP_H
 
-#include "core/Lattice.h"
+#include "analysis/Lattice.h"
 #include "ir/Module.h"
 
 #include <array>

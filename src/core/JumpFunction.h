@@ -29,7 +29,7 @@
 #ifndef IPCP_CORE_JUMPFUNCTION_H
 #define IPCP_CORE_JUMPFUNCTION_H
 
-#include "core/Lattice.h"
+#include "analysis/Lattice.h"
 #include "ir/Variable.h"
 #include "support/Arena.h"
 #include "support/ConstantMath.h"

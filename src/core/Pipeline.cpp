@@ -6,6 +6,8 @@
 
 #include "core/Pipeline.h"
 
+#include "analysis/CallGraph.h"
+#include "analysis/ModRef.h"
 #include "analysis/SCCP.h"
 #include "core/BindingGraph.h"
 #include "core/SummaryCache.h"
@@ -13,6 +15,7 @@
 #include "support/Casting.h"
 #include "support/StableHash.h"
 #include "support/Trace.h"
+#include "transform/Transform.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -839,54 +842,180 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
   return Result;
 }
 
-CompletePropagationResult
-ipcp::runCompletePropagation(const Module &M, const IPCPOptions &Opts,
-                             unsigned MaxRounds, ResourceGuard *Guard) {
-  CompletePropagationResult Result;
-  ScopedTraceSpan CompleteSpan("complete-propagation");
-  std::unique_ptr<Module> Working = M.clone();
-  std::unordered_set<uint64_t> CountedLoads;
+namespace {
 
-  // Replayed procedures contribute no substitution facts, so the
-  // analyze-substitute rounds must run cache-less (Pipeline.h).
+/// Round cap of the analyze→substitute loop. The paper's experiment
+/// converged after one extra round; the cap only guards adversarial
+/// inputs.
+constexpr unsigned MaxSubstitutionRounds = 8;
+
+/// What the rounds of substituteToFixpoint did, summed.
+struct SubstitutionRounds {
+  unsigned Rounds = 0;
+  TransformStats Totals;
+  StatisticSet Stats; ///< Every round's analysis counters, merged.
+  IPCPResult FinalRound;
+  PipelineStatus Status; ///< Set when the shared guard tripped.
+};
+
+/// The one analyze→substitute loop: runIPCP over \p M, then applyFacts on
+/// \p M itself. Stops at the first round that removes no block (when
+/// \p StopOnNoDeadCode: the paper's Table 3 rule) or that changes nothing
+/// (the optimizer's fixpoint), when \p Guard trips, or at the round cap.
+/// All rounds share \p Guard, so a deadline bounds the whole loop.
+SubstitutionRounds substituteToFixpoint(Module &M, const IPCPOptions &Opts,
+                                        ResourceGuard &Guard,
+                                        bool StopOnNoDeadCode) {
+  SubstitutionRounds Result;
+
+  // Replayed procedures contribute no substitution facts, so the rounds
+  // must run cache-less (Pipeline.h).
   IPCPOptions RoundOpts = Opts;
   RoundOpts.Cache = nullptr;
 
-  // One guard spans every round, so a deadline bounds the whole
-  // experiment rather than restarting per round.
+  for (unsigned Round = 0; Round < MaxSubstitutionRounds; ++Round) {
+    ScopedTraceSpan RoundSpan("round", std::to_string(Round + 1));
+    IPCPResult RoundResult = runIPCP(M, RoundOpts, &Guard);
+    ++Result.Rounds;
+    Result.Stats.merge(RoundResult.Stats);
+
+    // Facts from a degraded round are still sound (a cut-short
+    // propagation discards its too-optimistic map entirely), so apply
+    // whatever this round proved before stopping.
+    TransformStats TS = applyFacts(M, RoundResult.Facts);
+    Result.Totals.LoadsReplaced += TS.LoadsReplaced;
+    Result.Totals.BranchesFolded += TS.BranchesFolded;
+    Result.Totals.BlocksRemoved += TS.BlocksRemoved;
+    Result.Totals.InstsRemoved += TS.InstsRemoved;
+    Result.Totals.ExprsFolded += TS.ExprsFolded;
+    Result.FinalRound = std::move(RoundResult);
+
+    if (Guard.tripped()) {
+      Result.Status = Guard.status();
+      break;
+    }
+    // Paper: "In each case, only one pass of dead code elimination was
+    // needed" — we loop until quiescence anyway.
+    if (StopOnNoDeadCode ? !TS.foundDeadCode() : !TS.changedAnything())
+      break;
+  }
+  return Result;
+}
+
+uint64_t elapsedUs(const Timer &T) { return uint64_t(T.seconds() * 1e6); }
+
+} // namespace
+
+CompletePropagationResult
+ipcp::runCompletePropagation(const Module &M, const IPCPOptions &Opts,
+                             ResourceGuard *Guard) {
+  CompletePropagationResult Result;
+  ScopedTraceSpan CompleteSpan("complete-propagation");
+  std::unique_ptr<Module> Working = M.clone();
+
+  ResourceGuard LocalGuard(Opts.Limits);
+  SubstitutionRounds Rounds =
+      substituteToFixpoint(*Working, Opts, Guard ? *Guard : LocalGuard,
+                           /*StopOnNoDeadCode=*/true);
+
+  // applyFacts replaces and erases every load a round names, so no load
+  // is counted twice across rounds.
+  Result.Rounds = Rounds.Rounds;
+  Result.TotalConstantRefs = Rounds.Totals.LoadsReplaced;
+  Result.BlocksRemoved = Rounds.Totals.BlocksRemoved;
+  Result.Stats = std::move(Rounds.Stats);
+  Result.Stats.add("cp_loads_replaced", Rounds.Totals.LoadsReplaced);
+  Result.Stats.add("cp_branches_folded", Rounds.Totals.BranchesFolded);
+  Result.Stats.add("cp_blocks_removed", Rounds.Totals.BlocksRemoved);
+  Result.Stats.add("cp_insts_removed", Rounds.Totals.InstsRemoved);
+  Result.Stats.add("cp_rounds", Rounds.Rounds);
+  Result.FinalRound = std::move(Rounds.FinalRound);
+  Result.Status = Rounds.Status;
+  return Result;
+}
+
+bool ipcp::parsePassSpec(const std::string &Spec, TransformPassConfig &Config,
+                         std::string *Error) {
+  Config.ConstantSubstitution = false;
+  Config.CopyPropagation = false;
+  size_t Pos = 0;
+  for (;;) {
+    size_t Comma = Spec.find(',', Pos);
+    std::string Name = Spec.substr(
+        Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
+    if (Name == "constants") {
+      Config.ConstantSubstitution = true;
+    } else if (Name == "copyprop") {
+      Config.CopyPropagation = true;
+    } else {
+      if (Error)
+        *Error = "unknown optimization pass '" + Name +
+                 "' (expected constants, copyprop)";
+      return false;
+    }
+    if (Comma == std::string::npos)
+      return true;
+    Pos = Comma + 1;
+  }
+}
+
+OptimizationResult ipcp::optimizeModule(Module &M, const IPCPOptions &Opts,
+                                        const TransformPassConfig &Config,
+                                        ResourceGuard *Guard) {
+  OptimizationResult Result;
+  ScopedTraceSpan OptSpan("optimize");
+  Timer Total;
+  Result.InstructionsBefore = M.instructionCount();
+
+  // One guard spans every pass and round, so a deadline bounds the whole
+  // optimization rather than restarting per round.
   ResourceGuard LocalGuard(Opts.Limits);
   if (!Guard)
     Guard = &LocalGuard;
 
-  for (unsigned Round = 0; Round < MaxRounds; ++Round) {
-    ScopedTraceSpan RoundSpan("round", std::to_string(Round + 1));
-    IPCPResult RoundResult = runIPCP(*Working, RoundOpts, Guard);
-    ++Result.Rounds;
-    for (const auto &[LoadId, Value] : RoundResult.Facts.ConstantLoads)
-      CountedLoads.insert(LoadId);
-    Result.TotalConstantRefs = CountedLoads.size();
-
-    TransformStats TS = applyFacts(*Working, RoundResult.Facts);
-    Result.BlocksRemoved += TS.BlocksRemoved;
-    Result.Stats.merge(RoundResult.Stats);
-    Result.Stats.add("cp_loads_replaced", TS.LoadsReplaced);
-    Result.Stats.add("cp_branches_folded", TS.BranchesFolded);
-    Result.Stats.add("cp_blocks_removed", TS.BlocksRemoved);
-    Result.Stats.add("cp_insts_removed", TS.InstsRemoved);
-    Result.FinalRound = std::move(RoundResult);
-
-    // A tripped budget ends the experiment with the rounds completed so
-    // far (the facts already applied stay sound).
-    if (Guard->tripped()) {
-      Result.Status = Guard->status();
-      break;
-    }
-
-    // Paper: "In each case, only one pass of dead code elimination was
-    // needed" — we loop until quiescence anyway.
-    if (!TS.foundDeadCode())
-      break;
+  if (Config.ConstantSubstitution) {
+    ScopedTraceSpan PassSpan("constant-substitution");
+    Timer PassTimer;
+    SubstitutionRounds Rounds =
+        substituteToFixpoint(M, Opts, *Guard, /*StopOnNoDeadCode=*/false);
+    Result.Rounds = Rounds.Rounds;
+    Result.Substitutions = Rounds.Totals.LoadsReplaced;
+    Result.Folds = Rounds.Totals.ExprsFolded;
+    Result.BranchesResolved = Rounds.Totals.BranchesFolded;
+    Result.BlocksRemoved = Rounds.Totals.BlocksRemoved;
+    Result.InstsRemoved =
+        Rounds.Totals.LoadsReplaced + Rounds.Totals.InstsRemoved;
+    Result.Stats = std::move(Rounds.Stats);
+    Result.Status = Rounds.Status;
+    Result.PassTimings.push_back({"constants", elapsedUs(PassTimer)});
   }
-  Result.Stats.add("cp_rounds", Result.Rounds);
+
+  if (Config.CopyPropagation && !Guard->tripped()) {
+    ScopedTraceSpan PassSpan("copy-propagation");
+    Timer PassTimer;
+    CallGraph CG(M);
+    ModRefInfo MRI = Opts.UseModInformation ? ModRefInfo::compute(M, CG)
+                                            : ModRefInfo::worstCase(M);
+    Result.CopiesPropagated = propagateCopies(M, MRI);
+
+    // Forwarding strands the forwarded loads' pure operand chains when
+    // the load was a value's only consumer; sweep them so the optimized
+    // module is as tight as the report claims.
+    unsigned Cleaned = 0;
+    for (const std::unique_ptr<Procedure> &P : M.procedures())
+      Cleaned += removeTriviallyDeadInstructions(*P);
+    Result.InstsRemoved += Result.CopiesPropagated + Cleaned;
+    Result.PassTimings.push_back({"copyprop", elapsedUs(PassTimer)});
+  }
+
+  Result.InstructionsAfter = M.instructionCount();
+  Result.Stats.add("opt_rounds", Result.Rounds);
+  Result.Stats.add("opt_substitutions", Result.Substitutions);
+  Result.Stats.add("opt_folds", Result.Folds);
+  Result.Stats.add("opt_branches_resolved", Result.BranchesResolved);
+  Result.Stats.add("opt_blocks_removed", Result.BlocksRemoved);
+  Result.Stats.add("opt_insts_removed", Result.InstsRemoved);
+  Result.Stats.add("opt_copies_propagated", Result.CopiesPropagated);
+  Result.Stats.add("time_optimize_us", elapsedUs(Total));
   return Result;
 }

@@ -21,16 +21,18 @@
 ///     re-runs over the seeded body. This is the Metzger-Stroud
 ///     effectiveness measure the paper reports in Tables 2 and 3.
 ///
-/// runCompletePropagation additionally interleaves dead code elimination
-/// and re-runs the analysis from scratch until no new dead code appears
-/// (Table 3, "Complete Propagation"). runIPCP with IntraproceduralOnly
-/// gives the Table 3 intraprocedural baseline.
+/// runCompletePropagation (on a scratch copy, until no new dead code
+/// appears: Table 3, "Complete Propagation") and optimizeModule (on the
+/// module itself, until nothing changes, then copy propagation; see
+/// docs/TRANSFORMS.md) share one analyze→substitute loop of runIPCP and
+/// applyFacts. runIPCP with IntraproceduralOnly gives the Table 3
+/// intraprocedural baseline.
 ///
-/// Both drivers are *total*: they honor the resource budgets in
+/// All drivers are *total*: they honor the resource budgets in
 /// IPCPOptions::Limits (or an externally supplied ResourceGuard) and,
 /// when a budget trips, stop the offending stage, keep whatever sound
-/// partial results exist, and report the trip in IPCPResult::Status
-/// instead of looping or crashing.
+/// partial results exist, and report the trip in their Status instead of
+/// looping or crashing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -125,9 +127,9 @@ struct CompletePropagationResult {
   /// Analysis rounds executed (1 = no dead code was ever found).
   unsigned Rounds = 0;
 
-  /// Distinct variable references proven constant across all rounds —
-  /// comparable to (and never less than) a single run's
-  /// TotalConstantRefs.
+  /// Variable references proven constant across all rounds (the sum of
+  /// the rounds' substituted loads) — comparable to (and never less
+  /// than) a single run's TotalConstantRefs.
   unsigned TotalConstantRefs = 0;
 
   /// Dead blocks removed over all rounds.
@@ -151,7 +153,88 @@ struct CompletePropagationResult {
 /// a deadline bounds the whole experiment, not each round.
 CompletePropagationResult
 runCompletePropagation(const Module &M, const IPCPOptions &Opts = {},
-                       unsigned MaxRounds = 8, ResourceGuard *Guard = nullptr);
+                       ResourceGuard *Guard = nullptr);
+
+/// Which passes optimizeModule runs. Both default on; the driver's
+/// `--optimize=<passes>` spec (comma-separated pass names) narrows this.
+struct TransformPassConfig {
+  /// Run iterated constant substitution + folding ("constants").
+  bool ConstantSubstitution = true;
+
+  /// Run store-to-load copy propagation ("copyprop").
+  bool CopyPropagation = true;
+};
+
+/// Parses a comma-separated pass list ("constants", "copyprop", or
+/// "constants,copyprop" in any order) into \p Config, which is reset so
+/// only the named passes run. Returns false (and fills \p Error) on an
+/// unknown or empty pass name.
+bool parsePassSpec(const std::string &Spec, TransformPassConfig &Config,
+                   std::string *Error = nullptr);
+
+/// Wall time of one executed pass, for the report's optimization block.
+struct PassTiming {
+  std::string Pass;
+  uint64_t Us = 0;
+};
+
+/// What optimizeModule did to the module.
+struct OptimizationResult {
+  /// Analysis+substitution rounds executed by the constants pass.
+  unsigned Rounds = 0;
+
+  /// Loads of proven-constant locations rewritten into literals.
+  unsigned Substitutions = 0;
+
+  /// Binary/Unary instructions over literals folded away.
+  unsigned Folds = 0;
+
+  /// Conditional branches with proven-constant conditions rewritten into
+  /// unconditional branches.
+  unsigned BranchesResolved = 0;
+
+  /// Blocks deleted as unreachable after branch resolution.
+  unsigned BlocksRemoved = 0;
+
+  /// Total instructions deleted (substituted loads, folded expressions,
+  /// dead chains, forwarded loads — everything).
+  unsigned InstsRemoved = 0;
+
+  /// Loads forwarded to an earlier stored value by the copyprop pass.
+  unsigned CopiesPropagated = 0;
+
+  /// Module instruction counts on entry and exit of the pipeline.
+  unsigned InstructionsBefore = 0;
+  unsigned InstructionsAfter = 0;
+
+  /// Passes that ran, in order, with their wall times.
+  std::vector<PassTiming> PassTimings;
+
+  /// Counters merged over every analysis round plus the opt_* totals.
+  StatisticSet Stats;
+
+  /// Degradation status across all rounds (first trip wins). A degraded
+  /// optimization is still sound: facts already applied stay applied,
+  /// remaining rounds are skipped.
+  PipelineStatus Status;
+
+  bool changedAnything() const {
+    return Substitutions || Folds || BranchesResolved || BlocksRemoved ||
+           InstsRemoved || CopiesPropagated;
+  }
+};
+
+/// Optimizes \p M in place under analysis configuration \p Opts: the
+/// constants pass runs the analyze→substitute loop on \p M itself until
+/// a round changes nothing, then the copyprop pass forwards stored values
+/// (propagateCopies). The summary cache is never consulted (replayed
+/// procedures carry no substitution facts — same restriction as
+/// runCompletePropagation). When \p Guard is null a run-local guard is
+/// created from Opts.Limits; pass an external guard to share one deadline
+/// with surrounding work.
+OptimizationResult optimizeModule(Module &M, const IPCPOptions &Opts = {},
+                                  const TransformPassConfig &Config = {},
+                                  ResourceGuard *Guard = nullptr);
 
 } // namespace ipcp
 

@@ -21,7 +21,6 @@
 #include "core/Cloning.h"
 #include "core/Pipeline.h"
 #include "support/Json.h"
-#include "transform/Transform.h"
 
 namespace ipcp {
 

@@ -706,7 +706,7 @@ JsonValue ServiceEngine::analyzeLocked(const ServiceRequest &Req,
   std::optional<CompletePropagationResult> CompleteResult;
   std::optional<IPCPResult> SingleResult;
   if (Req.Complete)
-    CompleteResult = runCompletePropagation(*M, Opts, 8, &Guard);
+    CompleteResult = runCompletePropagation(*M, Opts, &Guard);
   else
     SingleResult = runIPCP(*M, Opts, &Guard);
 

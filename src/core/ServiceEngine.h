@@ -55,9 +55,9 @@
 #define IPCP_CORE_SERVICEENGINE_H
 
 #include "core/Options.h"
+#include "core/Pipeline.h"
 #include "core/SummaryCache.h"
 #include "support/Json.h"
-#include "transform/Transform.h"
 
 #include <atomic>
 #include <cstdint>

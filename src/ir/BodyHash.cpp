@@ -1,34 +1,20 @@
-//===- support/StableHash.cpp ---------------------------------------------===//
+//===- ir/BodyHash.cpp ----------------------------------------------------===//
 //
 // Part of the ipcp project.
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/StableHash.h"
+#include "ir/Procedure.h"
 
 #include "ir/BasicBlock.h"
 #include "ir/Instructions.h"
-#include "ir/Procedure.h"
 #include "support/Casting.h"
 #include "support/ConstantMath.h"
+#include "support/StableHash.h"
 
 #include <unordered_map>
 
 using namespace ipcp;
-
-uint64_t ipcp::stableHashBytes(std::string_view Data) {
-  StableHasher H;
-  H.bytes(Data.data(), Data.size());
-  return H.result();
-}
-
-std::string ipcp::stableHashHex(uint64_t H) {
-  static const char Digits[] = "0123456789abcdef";
-  std::string Out(16, '0');
-  for (int I = 15; I >= 0; --I, H >>= 4)
-    Out[size_t(I)] = Digits[H & 0xf];
-  return Out;
-}
 
 namespace {
 

@@ -146,6 +146,18 @@ private:
   mutable bool StreamValid = false;
 };
 
+/// The structural hash of one procedure's lowered (pre-SSA) body: the
+/// summary cache's content key, serialized into the support/StableHash.h
+/// hasher by BodyHash.cpp. Covers the procedure name, formal count, every
+/// instruction's opcode and operands (instruction results by dense
+/// traversal-order number, variables by kind + formal index or name,
+/// constants by value), binary and unary operator spellings, callee
+/// names, by-reference binding and literal-actual flags at call sites,
+/// and branch targets as block indices. Excludes instruction ids,
+/// variable ids, source locations, and anything reachable only through
+/// global state — see docs/INCREMENTAL.md for the byte-level format.
+uint64_t hashProcedureBody(const Procedure &P);
+
 } // namespace ipcp
 
 #endif // IPCP_IR_PROCEDURE_H

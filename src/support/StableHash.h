@@ -18,9 +18,8 @@
 ///  2. *Sensitivity.* Any single-instruction change to the lowered IR —
 ///     a different literal, operator, operand, callee, variable, or
 ///     branch target — must change the hash (StableHashTests pins this
-///     on mutation corpora). Structural identity is encoded with
-///     per-kind opcode tags, dense traversal-order numbering of
-///     instruction results, and block indices for branch targets.
+///     on mutation corpora). The IR serialization that meets this,
+///     hashProcedureBody, lives with the IR in ir/Procedure.h.
 ///
 /// The underlying mix is 64-bit FNV-1a: tiny, dependency-free, and fully
 /// specified, so the on-disk `ipcp-cache-v1` format can document it in
@@ -40,8 +39,6 @@
 #include <string_view>
 
 namespace ipcp {
-
-class Procedure;
 
 /// Incremental 64-bit FNV-1a over an explicitly serialized byte stream.
 /// All multi-byte integers enter the stream little-endian regardless of
@@ -89,21 +86,20 @@ private:
 
 /// One-shot FNV-1a of a raw byte string (no length prefix; matches the
 /// classic published test vectors).
-uint64_t stableHashBytes(std::string_view Data);
+inline uint64_t stableHashBytes(std::string_view Data) {
+  StableHasher H;
+  H.bytes(Data.data(), Data.size());
+  return H.result();
+}
 
 /// Fixed-width lowercase hex rendering of a hash (16 digits).
-std::string stableHashHex(uint64_t H);
-
-/// The structural hash of one procedure's lowered (pre-SSA) body. Covers
-/// the procedure name, formal count, every instruction's opcode and
-/// operands (instruction results by dense traversal-order number,
-/// variables by kind + formal index or name, constants by value), binary
-/// and unary operator spellings, callee names, by-reference binding and
-/// literal-actual flags at call sites, and branch targets as block
-/// indices. Excludes instruction ids, variable ids, source locations,
-/// and anything reachable only through global state — see
-/// docs/INCREMENTAL.md for the byte-level format.
-uint64_t hashProcedureBody(const Procedure &P);
+inline std::string stableHashHex(uint64_t H) {
+  static const char Digits[] = "0123456789abcdef";
+  std::string Out(16, '0');
+  for (int I = 15; I >= 0; --I, H >>= 4)
+    Out[size_t(I)] = Digits[H & 0xf];
+  return Out;
+}
 
 } // namespace ipcp
 

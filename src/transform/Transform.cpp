@@ -6,43 +6,14 @@
 
 #include "transform/Transform.h"
 
-#include "analysis/CallGraph.h"
-#include "analysis/DeadCode.h"
 #include "analysis/ModRef.h"
-#include "core/Pipeline.h"
 #include "ir/Module.h"
 #include "support/Casting.h"
-#include "support/Trace.h"
 
 #include <unordered_map>
 #include <vector>
 
 using namespace ipcp;
-
-bool ipcp::parsePassSpec(const std::string &Spec, TransformPassConfig &Config,
-                         std::string *Error) {
-  Config.ConstantSubstitution = false;
-  Config.CopyPropagation = false;
-  size_t Pos = 0;
-  for (;;) {
-    size_t Comma = Spec.find(',', Pos);
-    std::string Name = Spec.substr(
-        Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-    if (Name == "constants") {
-      Config.ConstantSubstitution = true;
-    } else if (Name == "copyprop") {
-      Config.CopyPropagation = true;
-    } else {
-      if (Error)
-        *Error = "unknown optimization pass '" + Name +
-                 "' (expected constants, copyprop)";
-      return false;
-    }
-    if (Comma == std::string::npos)
-      return true;
-    Pos = Comma + 1;
-  }
-}
 
 unsigned ipcp::propagateCopies(Module &M, const ModRefInfo &MRI) {
   unsigned Forwarded = 0;
@@ -111,86 +82,4 @@ unsigned ipcp::propagateCopies(Module &M, const ModRefInfo &MRI) {
     }
   }
   return Forwarded;
-}
-
-static uint64_t elapsedUs(const Timer &T) {
-  return uint64_t(T.seconds() * 1e6);
-}
-
-OptimizationResult ipcp::optimizeModule(Module &M, const IPCPOptions &Opts,
-                                        const TransformPassConfig &Config,
-                                        ResourceGuard *Guard) {
-  OptimizationResult Result;
-  ScopedTraceSpan OptSpan("optimize");
-  Timer Total;
-  Result.InstructionsBefore = M.instructionCount();
-
-  // Replayed procedures contribute no substitution facts, so the
-  // analyze-substitute rounds must run cache-less (Pipeline.h).
-  IPCPOptions RoundOpts = Opts;
-  RoundOpts.Cache = nullptr;
-
-  // One guard spans every pass and round, so a deadline bounds the whole
-  // optimization rather than restarting per round.
-  ResourceGuard LocalGuard(Opts.Limits);
-  if (!Guard)
-    Guard = &LocalGuard;
-
-  if (Config.ConstantSubstitution) {
-    ScopedTraceSpan PassSpan("constant-substitution");
-    Timer PassTimer;
-    for (unsigned Round = 0; Round < Config.MaxRounds; ++Round) {
-      ScopedTraceSpan RoundSpan("round", std::to_string(Round + 1));
-      IPCPResult RoundResult = runIPCP(M, RoundOpts, Guard);
-      ++Result.Rounds;
-      Result.Stats.merge(RoundResult.Stats);
-
-      // Facts from a degraded round are still sound (a cut-short
-      // propagation discards its too-optimistic map entirely), so apply
-      // whatever this round proved before stopping.
-      TransformStats TS = applyFacts(M, RoundResult.Facts);
-      Result.Substitutions += TS.LoadsReplaced;
-      Result.Folds += TS.ExprsFolded;
-      Result.BranchesResolved += TS.BranchesFolded;
-      Result.BlocksRemoved += TS.BlocksRemoved;
-      Result.InstsRemoved += TS.LoadsReplaced + TS.InstsRemoved;
-
-      if (Guard->tripped()) {
-        Result.Status = Guard->status();
-        break;
-      }
-      if (!TS.changedAnything())
-        break;
-    }
-    Result.PassTimings.push_back({"constants", elapsedUs(PassTimer)});
-  }
-
-  if (Config.CopyPropagation && !Guard->tripped()) {
-    ScopedTraceSpan PassSpan("copy-propagation");
-    Timer PassTimer;
-    CallGraph CG(M);
-    ModRefInfo MRI = Opts.UseModInformation ? ModRefInfo::compute(M, CG)
-                                            : ModRefInfo::worstCase(M);
-    Result.CopiesPropagated = propagateCopies(M, MRI);
-
-    // Forwarding strands the forwarded loads' pure operand chains when
-    // the load was a value's only consumer; sweep them so the optimized
-    // module is as tight as the report claims.
-    unsigned Cleaned = 0;
-    for (const std::unique_ptr<Procedure> &P : M.procedures())
-      Cleaned += removeTriviallyDeadInstructions(*P);
-    Result.InstsRemoved += Result.CopiesPropagated + Cleaned;
-    Result.PassTimings.push_back({"copyprop", elapsedUs(PassTimer)});
-  }
-
-  Result.InstructionsAfter = M.instructionCount();
-  Result.Stats.add("opt_rounds", Result.Rounds);
-  Result.Stats.add("opt_substitutions", Result.Substitutions);
-  Result.Stats.add("opt_folds", Result.Folds);
-  Result.Stats.add("opt_branches_resolved", Result.BranchesResolved);
-  Result.Stats.add("opt_blocks_removed", Result.BlocksRemoved);
-  Result.Stats.add("opt_insts_removed", Result.InstsRemoved);
-  Result.Stats.add("opt_copies_propagated", Result.CopiesPropagated);
-  Result.Stats.add("time_optimize_us", elapsedUs(Total));
-  return Result;
 }

@@ -21,12 +21,12 @@
 
 #include "TestUtil.h"
 
+#include "core/Pipeline.h"
 #include "core/Report.h"
 #include "core/SuiteRunner.h"
 #include "core/ValueContexts.h"
 #include "interp/Interpreter.h"
 #include "support/FileIO.h"
-#include "transform/Transform.h"
 #include "workload/Programs.h"
 #include "workload/SuiteReport.h"
 

@@ -10,7 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Lattice.h"
+#include "analysis/Lattice.h"
 
 #include <gtest/gtest.h>
 

@@ -8,6 +8,7 @@
 
 #include "analysis/DeadCode.h"
 #include "core/Pipeline.h"
+#include "workload/Programs.h"
 
 #include <gtest/gtest.h>
 
@@ -120,6 +121,58 @@ TEST(Pipeline, CompletePropagationDoesNotMutateInput) {
   unsigned Before = M->instructionCount();
   runCompletePropagation(*M);
   EXPECT_EQ(M->instructionCount(), Before);
+}
+
+TEST(Pipeline, CompletePropagationRefsAreTheSubstitutedLoads) {
+  // applyFacts replaces and erases every load a round names, so no load
+  // is counted twice: the rounds' substituted loads are the distinct
+  // references proven constant.
+  const JumpFunctionKind Kinds[] = {
+      JumpFunctionKind::Literal, JumpFunctionKind::IntraproceduralConstant,
+      JumpFunctionKind::PassThrough, JumpFunctionKind::Polynomial};
+  for (const SuiteProgram &Prog : benchmarkSuite()) {
+    auto M = loadSuiteModule(Prog);
+    for (JumpFunctionKind Kind : Kinds) {
+      IPCPOptions Opts;
+      Opts.ForwardKind = Kind;
+      CompletePropagationResult CP = runCompletePropagation(*M, Opts);
+      EXPECT_EQ(CP.TotalConstantRefs, CP.Stats.get("cp_loads_replaced"))
+          << Prog.Name << " " << jumpFunctionKindName(Kind);
+      EXPECT_GE(CP.TotalConstantRefs, runIPCP(*M, Opts).TotalConstantRefs)
+          << Prog.Name << " " << jumpFunctionKindName(Kind);
+    }
+  }
+}
+
+TEST(Pipeline, CompleteAndOptimizeStopOnDifferentRules) {
+  // One analyze→substitute loop, two stopping rules: complete
+  // propagation stops at the first round that removes no block (the
+  // paper's Table 3 rule), the constants pass of optimizeModule at the
+  // first round that changes nothing.
+  struct Case {
+    const char *Program;
+    IPCPOptions Opts;
+    unsigned CompleteRounds, CompleteRefs, OptRounds, Substitutions;
+  };
+  IPCPOptions Intra;
+  Intra.ForwardKind = JumpFunctionKind::IntraproceduralConstant;
+  IPCPOptions NoMod;
+  NoMod.UseModInformation = false;
+  const Case Cases[] = {{"snasa7", Intra, 1, 7, 5, 21},
+                        {"fpppp", NoMod, 1, 9, 3, 24}};
+
+  TransformPassConfig ConstantsOnly;
+  ConstantsOnly.CopyPropagation = false;
+  for (const Case &C : Cases) {
+    auto M = loadSuiteModule(*findSuiteProgram(C.Program));
+    CompletePropagationResult CP = runCompletePropagation(*M, C.Opts);
+    EXPECT_EQ(CP.Rounds, C.CompleteRounds) << C.Program;
+    EXPECT_EQ(CP.TotalConstantRefs, C.CompleteRefs) << C.Program;
+
+    OptimizationResult Opt = optimizeModule(*M, C.Opts, ConstantsOnly);
+    EXPECT_EQ(Opt.Rounds, C.OptRounds) << C.Program;
+    EXPECT_EQ(Opt.Substitutions, C.Substitutions) << C.Program;
+  }
 }
 
 TEST(Pipeline, IntraproceduralBaseline) {

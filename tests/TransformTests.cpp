@@ -24,6 +24,7 @@
 
 #include "analysis/CallGraph.h"
 #include "analysis/ModRef.h"
+#include "core/Pipeline.h"
 #include "interp/Interpreter.h"
 #include "ir/IRPrinter.h"
 #include "support/FileIO.h"

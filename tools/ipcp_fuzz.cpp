@@ -76,7 +76,6 @@
 #include "support/ContentStore.h"
 #include "support/FaultInjection.h"
 #include "support/FileIO.h"
-#include "transform/Transform.h"
 #include "workload/Generator.h"
 #include "workload/Oracle.h"
 #include "workload/Programs.h"
@@ -233,7 +232,7 @@ bool runOne(const std::string &Source, bool CheckOracle,
     }
   }
 
-  CompletePropagationResult CP = runCompletePropagation(*M, Opts, 4);
+  CompletePropagationResult CP = runCompletePropagation(*M, Opts);
   if (CP.TotalConstantRefs < R.TotalConstantRefs) {
     *Failure = "complete propagation found fewer constant refs than one "
                "analysis round";
