@@ -20,6 +20,9 @@ cmake_minimum_required(VERSION 3.16)
 if(NOT DEFINED SRCDIR)
   message(FATAL_ERROR "CheckDocIndex.cmake needs -DSRCDIR=<repo root>")
 endif()
+# file(GLOB ... RELATIVE) matches nothing against a relative root such as
+# the CI step's `-DSRCDIR=.`.
+get_filename_component(SRCDIR "${SRCDIR}" ABSOLUTE)
 
 set(Problems "")
 

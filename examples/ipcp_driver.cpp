@@ -327,10 +327,17 @@ int main(int argc, char **argv) {
     }
   }
 
+  // Recording starts before the frontend so the trace carries its
+  // parse, sema and lower spans.
+  Trace TraceData;
+  if (TraceOn)
+    Trace::setActive(&TraceData);
+
   DiagnosticsEngine Diags;
   ResourceGuard Guard(Opts.Limits);
   std::optional<Program> Ast = parseAndCheck(Source, Diags, true, &Guard);
   if (!Ast) {
+    Trace::setActive(nullptr);
     std::fprintf(stderr, "%s", Diags.str().c_str());
     if (!Guard.tripped())
       return 3;
@@ -363,10 +370,6 @@ int main(int argc, char **argv) {
   std::printf("analyzing %s: %zu procedure(s), %u instruction(s)\n",
               SourceName.c_str(), M->procedures().size(),
               M->instructionCount());
-
-  Trace TraceData;
-  if (TraceOn)
-    Trace::setActive(&TraceData);
 
   if (CheckAlias) {
     std::vector<Diagnostic> Hazards = checkAliasHazards(*M);
@@ -485,7 +488,8 @@ int main(int argc, char **argv) {
   }
 
   // Stop recording before the ancillary dumps so the trace covers
-  // exactly the analysis (and any cloning/integration before it).
+  // exactly the frontend and the analysis (and any cloning/integration
+  // before it).
   if (TraceOn)
     Trace::setActive(nullptr);
 

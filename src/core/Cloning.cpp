@@ -17,9 +17,10 @@ using namespace ipcp;
 namespace {
 
 /// One cloning decision: retarget these call sites (by clone-stable call
-/// instruction ID) from Procedure (by name) to a fresh copy.
+/// instruction ID) from the procedure at ProcIndex (its module index, the
+/// same in the scratch and the real module) to a fresh copy.
 struct CloneDecision {
-  std::string ProcName;
+  uint32_t ProcIndex;
   std::vector<uint64_t> SiteIds;
   std::string Signature; // for determinism / debugging
 };
@@ -85,7 +86,7 @@ std::vector<CloneDecision> planRound(const Module &M,
     std::map<std::string, std::vector<uint64_t>> Groups;
     std::map<std::string, bool> GroupProfitable;
     unsigned TotalSites = 0;
-    for (Procedure *Caller : CG.procedures()) {
+    for (Procedure *Caller : CG.callers(Q)) {
       for (CallInst *Site : CG.callSitesIn(Caller)) {
         if (Site->getCallee() != Q)
           continue;
@@ -113,7 +114,7 @@ std::vector<CloneDecision> planRound(const Module &M,
     for (const auto &[Sig, Sites] : Groups) {
       if (Sig == Largest || !GroupProfitable[Sig] || Budget == 0)
         continue;
-      Decisions.push_back({Q->getName(), Sites, Sig});
+      Decisions.push_back({Q->getModuleIndex(), Sites, Sig});
       --Budget;
     }
   }
@@ -154,11 +155,11 @@ CloningResult ipcp::cloneForConstants(Module &M, const CloningOptions &Opts,
     ScopedTraceSpan RoundSpan("cloning-round", std::to_string(Round + 1));
     // Budget gate: the deadline and the absolute IR-size budget both end
     // the experiment between rounds, leaving the module consistent.
+    unsigned Instructions = M.instructionCount();
     if (Guard->tripped() || !Guard->checkDeadline("cloning") ||
-        !Guard->checkIRInstructions(M.instructionCount(), "cloning"))
+        !Guard->checkIRInstructions(Instructions, "cloning"))
       break;
-    if (M.instructionCount() >
-        Result.InstructionsBefore * Opts.MaxGrowthFactor)
+    if (Instructions > Result.InstructionsBefore * Opts.MaxGrowthFactor)
       break;
     std::vector<CloneDecision> Decisions = planRound(M, Opts);
     if (Decisions.empty())
@@ -171,20 +172,22 @@ CloningResult ipcp::cloneForConstants(Module &M, const CloningOptions &Opts,
       for (CallInst *Site : P->callSites())
         SitesById[Site->getId()] = Site;
 
+    // Copies are appended, so the planned module indices stay valid for
+    // the whole round.
     for (const CloneDecision &Decision : Decisions) {
-      Procedure *Original = M.findProcedure(Decision.ProcName);
-      if (!Original)
-        continue; // name vanished (shouldn't happen)
-      std::string Root = RootOf(Decision.ProcName);
+      Procedure *Original = M.procedures()[Decision.ProcIndex].get();
+      std::string Root = RootOf(Original->getName());
       if (CopiesPerRoot[Root] + 2 > Opts.MaxClonesPerProcedure)
         continue; // original + copies would exceed the cap
-      if (M.instructionCount() + Original->instructionCount() >
+      unsigned OriginalInstructions = Original->instructionCount();
+      if (Instructions + OriginalInstructions >
           Result.InstructionsBefore * Opts.MaxGrowthFactor)
         break;
       ++CopiesPerRoot[Root];
       Procedure *Copy = M.cloneProcedure(
           *Original,
           Original->getName() + ".clone" + std::to_string(++CloneCounter));
+      Instructions += OriginalInstructions;
       ++Result.ClonesCreated;
       for (uint64_t SiteId : Decision.SiteIds) {
         auto It = SitesById.find(SiteId);

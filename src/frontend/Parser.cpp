@@ -7,6 +7,7 @@
 #include "frontend/Parser.h"
 
 #include "frontend/Sema.h"
+#include "support/Trace.h"
 
 using namespace ipcp;
 
@@ -488,13 +489,20 @@ std::optional<Program> ipcp::parseAndCheck(std::string_view Source,
                                            DiagnosticsEngine &Diags,
                                            bool RequireMain,
                                            ResourceGuard *Guard) {
-  Parser P(Source, Diags, Guard);
-  Program Prog = P.parseProgram();
+  Program Prog;
+  {
+    ScopedTraceSpan ParseSpan("parse");
+    Parser P(Source, Diags, Guard);
+    Prog = P.parseProgram();
+  }
   if (Diags.hasErrors())
     return std::nullopt;
-  Sema Checker(Diags);
-  Checker.setRequireMain(RequireMain);
-  Checker.check(Prog);
+  {
+    ScopedTraceSpan SemaSpan("sema");
+    Sema Checker(Diags);
+    Checker.setRequireMain(RequireMain);
+    Checker.check(Prog);
+  }
   if (Diags.hasErrors())
     return std::nullopt;
   return Prog;

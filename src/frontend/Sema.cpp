@@ -8,12 +8,11 @@
 
 #include "support/Casting.h"
 
-#include <unordered_set>
-
 using namespace ipcp;
 
 bool Sema::check(const Program &Prog) {
   GlobalNames.clear();
+  ProcsByName.clear();
 
   for (const GlobalDecl &G : Prog.Globals) {
     for (const DeclItem &Item : G.Items) {
@@ -23,9 +22,9 @@ bool Sema::check(const Program &Prog) {
     }
   }
 
-  std::unordered_set<std::string> ProcNames;
+  ProcsByName.reserve(Prog.Procs.size());
   for (const ProcDecl &P : Prog.Procs) {
-    if (!ProcNames.insert(P.Name).second)
+    if (!ProcsByName.emplace(P.Name, &P).second)
       Diags.error(P.Loc, "redefinition of procedure '" + P.Name + "'");
     if (GlobalNames.count(P.Name))
       Diags.error(P.Loc, "procedure '" + P.Name +
@@ -33,14 +32,14 @@ bool Sema::check(const Program &Prog) {
   }
 
   for (const ProcDecl &P : Prog.Procs)
-    checkProc(Prog, P);
+    checkProc(P);
 
   if (RequireMain) {
-    const ProcDecl *Main = Prog.findProc("main");
-    if (!Main)
+    auto Main = ProcsByName.find("main");
+    if (Main == ProcsByName.end())
       Diags.error(SourceLoc(), "program has no 'main' procedure");
-    else if (!Main->Params.empty())
-      Diags.error(Main->Loc, "'main' must take no parameters");
+    else if (!Main->second->Params.empty())
+      Diags.error(Main->second->Loc, "'main' must take no parameters");
   }
 
   return !Diags.hasErrors();
@@ -65,7 +64,7 @@ std::optional<Sema::Symbol> Sema::lookup(const ProcScope &Scope,
   return std::nullopt;
 }
 
-void Sema::checkProc(const Program &Prog, const ProcDecl &Proc) {
+void Sema::checkProc(const ProcDecl &Proc) {
   ProcScope Scope;
   Scope.Proc = &Proc;
   for (const DeclItem &Param : Proc.Params)
@@ -97,10 +96,10 @@ void Sema::checkProc(const Program &Prog, const ProcDecl &Proc) {
     }
   }
 
-  checkStmt(Prog, Scope, Proc.Body.get(), /*LoopIndVar=*/nullptr);
+  checkStmt(Scope, Proc.Body.get(), /*LoopIndVar=*/nullptr);
 }
 
-void Sema::checkStmt(const Program &Prog, ProcScope &Scope, const Stmt *S,
+void Sema::checkStmt(ProcScope &Scope, const Stmt *S,
                      const std::string *LoopIndVar) {
   switch (S->getKind()) {
   case Stmt::Kind::VarDecl:
@@ -121,15 +120,15 @@ void Sema::checkStmt(const Program &Prog, ProcScope &Scope, const Stmt *S,
   case Stmt::Kind::If: {
     const auto *If = cast<IfStmt>(S);
     checkExpr(Scope, If->getCond());
-    checkStmt(Prog, Scope, If->getThen(), LoopIndVar);
+    checkStmt(Scope, If->getThen(), LoopIndVar);
     if (If->getElse())
-      checkStmt(Prog, Scope, If->getElse(), LoopIndVar);
+      checkStmt(Scope, If->getElse(), LoopIndVar);
     return;
   }
   case Stmt::Kind::While: {
     const auto *While = cast<WhileStmt>(S);
     checkExpr(Scope, While->getCond());
-    checkStmt(Prog, Scope, While->getBody(), LoopIndVar);
+    checkStmt(Scope, While->getBody(), LoopIndVar);
     return;
   }
   case Stmt::Kind::DoLoop: {
@@ -146,12 +145,13 @@ void Sema::checkStmt(const Program &Prog, ProcScope &Scope, const Stmt *S,
     if (Do->getStep())
       checkExpr(Scope, Do->getStep());
     const std::string IndVar = Do->getIndVar();
-    checkStmt(Prog, Scope, Do->getBody(), &IndVar);
+    checkStmt(Scope, Do->getBody(), &IndVar);
     return;
   }
   case Stmt::Kind::Call: {
     const auto *Call = cast<CallStmt>(S);
-    const ProcDecl *Callee = Prog.findProc(Call->getCallee());
+    auto It = ProcsByName.find(Call->getCallee());
+    const ProcDecl *Callee = It == ProcsByName.end() ? nullptr : It->second;
     if (!Callee) {
       Diags.error(S->getLoc(),
                   "call to undefined procedure '" + Call->getCallee() + "'");
@@ -187,7 +187,7 @@ void Sema::checkStmt(const Program &Prog, ProcScope &Scope, const Stmt *S,
     return;
   case Stmt::Kind::Block:
     for (const StmtPtr &Child : cast<BlockStmt>(S)->getStmts())
-      checkStmt(Prog, Scope, Child.get(), LoopIndVar);
+      checkStmt(Scope, Child.get(), LoopIndVar);
     return;
   }
 }

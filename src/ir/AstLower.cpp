@@ -7,7 +7,9 @@
 #include "ir/AstLower.h"
 
 #include "support/Casting.h"
+#include "support/Trace.h"
 
+#include <string_view>
 #include <unordered_map>
 
 using namespace ipcp;
@@ -59,13 +61,16 @@ private:
   // Lowering -------------------------------------------------------------
 
   void declareProcVars(Procedure *P, const ProcDecl &Decl);
-  void lowerProc(const ProcDecl &Decl);
+  void lowerProc(Procedure *P, const ProcDecl &Decl);
   void lowerStmt(const Stmt *S);
   Value *lowerExpr(const Expr *E);
   void lowerStore(const Expr *Target, Value *Val, SourceLoc Loc);
 
   std::unique_ptr<Module> OwnedModule;
   Module *M = nullptr;
+  /// Call targets by name, built once before any body is lowered; the
+  /// keys view the procedures' own names.
+  std::unordered_map<std::string_view, Procedure *> ProcsByName;
   Procedure *CurProc = nullptr;
   BasicBlock *Cur = nullptr;
   BasicBlock *Exit = nullptr;
@@ -236,8 +241,9 @@ void LoweringContext::lowerStmt(const Stmt *S) {
   }
   case Stmt::Kind::Call: {
     const auto *Call = cast<CallStmt>(S);
-    Procedure *Callee = M->findProcedure(Call->getCallee());
-    assert(Callee && "Sema guarantees the callee exists");
+    auto It = ProcsByName.find(Call->getCallee());
+    assert(It != ProcsByName.end() && "Sema guarantees the callee exists");
+    Procedure *Callee = It->second;
     std::vector<CallActual> Actuals;
     for (const ExprPtr &Arg : Call->getArgs()) {
       CallActual Actual;
@@ -281,8 +287,8 @@ void LoweringContext::lowerStmt(const Stmt *S) {
   }
 }
 
-void LoweringContext::lowerProc(const ProcDecl &Decl) {
-  CurProc = M->findProcedure(Decl.Name);
+void LoweringContext::lowerProc(Procedure *P, const ProcDecl &Decl) {
+  CurProc = P;
   Cur = CurProc->createBlock("entry");
   Exit = CurProc->createBlock("exit");
   CurProc->setExitBlock(Exit);
@@ -312,16 +318,21 @@ std::unique_ptr<Module> LoweringContext::run(const Program &Prog) {
       M->addGlobal(Item.Name, Item.ArraySize);
 
   // Create all procedures first so calls can be resolved in one pass.
-  for (const ProcDecl &P : Prog.Procs)
-    declareProcVars(M->createProcedure(P.Name), P);
+  ProcsByName.reserve(Prog.Procs.size());
+  for (const ProcDecl &Decl : Prog.Procs) {
+    Procedure *P = M->createProcedure(Decl.Name);
+    ProcsByName.emplace(P->getName(), P);
+    declareProcVars(P, Decl);
+  }
 
-  for (const ProcDecl &P : Prog.Procs)
-    lowerProc(P);
+  for (size_t I = 0, E = Prog.Procs.size(); I != E; ++I)
+    lowerProc(M->procedures()[I].get(), Prog.Procs[I]);
 
   return std::move(OwnedModule);
 }
 
 std::unique_ptr<Module> ipcp::lowerProgram(const Program &Prog) {
+  ScopedTraceSpan LowerSpan("lower");
   LoweringContext Ctx;
   return Ctx.run(Prog);
 }

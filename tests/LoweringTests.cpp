@@ -7,7 +7,10 @@
 #include "TestUtil.h"
 
 #include "ir/IRPrinter.h"
+#include "support/Casting.h"
+#include "workload/Generator.h"
 
+#include <algorithm>
 #include <gtest/gtest.h>
 
 using namespace ipcp;
@@ -201,6 +204,57 @@ TEST(Lowering, WholeSuiteVerifies) {
       "}\n");
   expectVerifies(*M, VerifyMode::PreSSA);
   EXPECT_GE(M->instructionCount(), 30u);
+}
+
+/// Appends the callee of every call statement under \p S to \p Out.
+void collectCallees(const Stmt *S, std::vector<std::string> &Out) {
+  if (const auto *Call = dyn_cast<CallStmt>(S)) {
+    Out.push_back(Call->getCallee());
+  } else if (const auto *Block = dyn_cast<BlockStmt>(S)) {
+    for (const StmtPtr &Child : Block->getStmts())
+      collectCallees(Child.get(), Out);
+  } else if (const auto *If = dyn_cast<IfStmt>(S)) {
+    collectCallees(If->getThen(), Out);
+    if (If->getElse())
+      collectCallees(If->getElse(), Out);
+  } else if (const auto *While = dyn_cast<WhileStmt>(S)) {
+    collectCallees(While->getBody(), Out);
+  } else if (const auto *Do = dyn_cast<DoLoopStmt>(S)) {
+    collectCallees(Do->getBody(), Out);
+  }
+}
+
+TEST(Lowering, CallsResolveToTheirNamedCalleeInLargeModules) {
+  // Thousands of procedures named p0..pN share prefixes (p1, p10, p100,
+  // p1000), so a callee resolved to the wrong procedure shows up as a
+  // name mismatch.
+  GeneratorConfig Config;
+  Config.Seed = 5;
+  Config.NumProcs = 4100;
+  Config.StmtsPerProc = 3;
+  Config.CallChance = 60;
+  Config.UseArrays = false;
+  Program Prog = parseOk(generateProgram(Config));
+  std::unique_ptr<Module> M = lowerProgram(Prog);
+  ASSERT_EQ(M->procedures().size(), Prog.Procs.size());
+  ASSERT_GE(M->procedures().size(), 4096u);
+
+  size_t Calls = 0;
+  for (size_t I = 0; I != Prog.Procs.size(); ++I) {
+    const Procedure &P = *M->procedures()[I];
+    ASSERT_EQ(P.getName(), Prog.Procs[I].Name);
+    std::vector<std::string> AstCallees, IRCallees;
+    collectCallees(Prog.Procs[I].Body.get(), AstCallees);
+    for (CallInst *Site : P.callSites())
+      IRCallees.push_back(Site->getCallee()->getName());
+    // Lowering may order blocks differently from the statements; the
+    // callees as a multiset must agree.
+    std::sort(AstCallees.begin(), AstCallees.end());
+    std::sort(IRCallees.begin(), IRCallees.end());
+    ASSERT_EQ(IRCallees, AstCallees) << "in procedure " << P.getName();
+    Calls += IRCallees.size();
+  }
+  EXPECT_GE(Calls, 4096u);
 }
 
 TEST(Lowering, PrinterMentionsCoreInstructions) {

@@ -87,6 +87,15 @@ TEST(Sema, CallArityMismatch) {
   EXPECT_NE(Errs.find("expects 2 argument(s), got 1"), std::string::npos);
 }
 
+TEST(Sema, RedefinedProcedureFirstDefinitionDecidesArity) {
+  // Calls are checked against the first definition of f only: the call
+  // matching the second definition's arity is the one reported.
+  EXPECT_EQ(parseErrors("proc f(a) { }\nproc f(a, b) { }\n"
+                        "proc main() { call f(1); call f(1, 2); }"),
+            "2:1: error: redefinition of procedure 'f'\n"
+            "3:26: error: procedure 'f' expects 1 argument(s), got 2\n");
+}
+
 TEST(Sema, ForwardReferencesAllowed) {
   parseOk("proc main() { call later(1); }\nproc later(x) { }");
 }
